@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import tempfile
 import time
 
 import pytest
@@ -17,18 +18,26 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: Runs kept per area file — enough history for trend gates, bounded size.
 BENCH_HISTORY = 200
 
+#: Where entries marked ``smoke`` go.  Tiny-N smoke runs (the tier-1
+#: ``perf`` marker) only prove the benches execute; their figures are
+#: not a trajectory, and tests must never write to tracked files.
+SMOKE_DIR = pathlib.Path(tempfile.gettempdir()) / "repro-bench-smoke"
+
 
 def record_bench(area: str, entry: dict) -> pathlib.Path:
-    """Append one benchmark result to ``BENCH_<area>.json`` at repo root.
+    """Append one benchmark result to ``BENCH_<area>.json``.
 
+    Full runs go to the repo root, smoke entries under :data:`SMOKE_DIR`.
     The file holds ``{"area": ..., "runs": [...]}`` with the newest run
     last; each entry is stamped with the wall-clock time so regression
     gates (``tests/perf``) can compare against the recorded baseline.
     Failures to write (read-only checkout) are swallowed: persistence is
     an observability feature, never a reason to fail a bench.
     """
-    path = REPO_ROOT / f"BENCH_{area}.json"
+    root = SMOKE_DIR if entry.get("smoke") else REPO_ROOT
+    path = root / f"BENCH_{area}.json"
     try:
+        root.mkdir(parents=True, exist_ok=True)
         try:
             payload = json.loads(path.read_text())
         except (OSError, ValueError):

@@ -9,6 +9,7 @@ Unix pipe with its two kernel copies.
 """
 
 import os
+import statistics
 import sys
 import time
 
@@ -115,10 +116,11 @@ def test_bench_in_vm_pipe_throughput(benchmark):
 def test_bench_line_read_buffered_vs_unbuffered(benchmark):
     """Transport fast path, layer 1: ``read_line`` through a pipe.
 
-    Unbuffered, every byte costs one pipe condition-variable acquisition
-    (``read_line`` → ``read_byte`` → ``read(1)``).  Buffered, lock
-    traffic scales with 8 KB chunks.  The dist protocol reads every
-    JSON-lines frame this way, so this ratio is the frame-receive win.
+    Unbuffered, every line costs one pipe condition-variable acquisition
+    (the pipe's own ``read_line`` scans the ring and stops at the
+    terminator, never reading ahead).  Buffered, lock traffic scales
+    with 8 KB chunks.  The dist protocol reads every JSON-lines frame
+    this way, so this ratio is the frame-receive win.
     """
     root = ThreadGroup(None, "system")
 
@@ -140,26 +142,34 @@ def test_bench_line_read_buffered_vs_unbuffered(benchmark):
             count += 1
         assert count == LINES
 
-    def buffered_run():
+    # Both sides time only the reads, over the same rounds: starting the
+    # producer thread costs 0.5-4 ms on a shared 2-vCPU host, more than
+    # reading a smoke run's 200 lines either way, so it stays untimed.
+    def setup(wrap):
         reader, writer = make_pipe(capacity=64 * 1024)
-        producer = feed(writer)
-        read_all_lines(BufferedInputStream(reader))
+        return (wrap(reader), feed(writer)), {}
+
+    def read_run(source, producer):
+        read_all_lines(source)
         producer.join(30)
 
-    benchmark.pedantic(buffered_run, rounds=5, iterations=1,
-                       warmup_rounds=1)
+    rounds, warmup_rounds = 5, 1
+    benchmark.pedantic(read_run, setup=lambda: setup(BufferedInputStream),
+                       rounds=rounds, iterations=1,
+                       warmup_rounds=warmup_rounds)
     buffered_lines_s = LINES / benchmark.stats.stats.mean
 
-    # The unbuffered comparison point, measured inline.
-    start = time.perf_counter()
-    reader, writer = make_pipe(capacity=64 * 1024)
-    producer = feed(writer)
-    read_all_lines(reader)
-    producer.join(30)
-    unbuffered_lines_s = LINES / (time.perf_counter() - start)
+    # The unbuffered comparison point, measured inline the same way.
+    elapsed = []
+    for _ in range(warmup_rounds + rounds):
+        args, _kwargs = setup(lambda reader: reader)
+        start = time.perf_counter()
+        read_run(*args)
+        elapsed.append(time.perf_counter() - start)
+    unbuffered_lines_s = LINES / statistics.mean(elapsed[warmup_rounds:])
 
     print(banner("C2b-line: pipe read_line — buffered vs unbuffered"))
-    print(f"unbuffered (lock per byte):   {unbuffered_lines_s:10.0f} "
+    print(f"unbuffered (lock per line):   {unbuffered_lines_s:10.0f} "
           f"lines/s")
     print(f"buffered (lock per chunk):    {buffered_lines_s:10.0f} "
           f"lines/s")
@@ -169,7 +179,7 @@ def test_bench_line_read_buffered_vs_unbuffered(benchmark):
         "buffered_lines_s": buffered_lines_s,
         "unbuffered_lines_s": unbuffered_lines_s})
     assert buffered_lines_s > unbuffered_lines_s, \
-        "buffered line reads must beat one-lock-per-byte reads"
+        "buffered line reads must beat one-lock-per-line reads"
 
 
 def test_bench_shell_pipe_end_to_end(benchmark, bench_mvm):

@@ -387,7 +387,7 @@ def build_server_material() -> ClassMaterial:
 
         def serve(socket) -> None:
             # A FrameChannel per agent connection: bulk buffered reads
-            # (one pipe lock per chunk of heartbeats, not per byte) and
+            # (one pipe lock per chunk of heartbeats, not per line) and
             # per-frame sniffing, so binary-framing agents would be
             # understood too.
             channel = FrameChannel(socket.input, socket.output)

@@ -412,8 +412,10 @@ class RingPipe:
         self._tail += n
         return n
 
-    def _take(self, n: int) -> bytes:
-        """Materialize ``n`` buffered bytes with one copy per segment."""
+    def _take(self, n: int, skip: int = 0) -> bytes:
+        """Materialize ``n`` buffered bytes with one copy per segment,
+        then consume ``skip`` more without copying them (a line's
+        terminator)."""
         head = self._head
         i = head & self._mask
         end = i + n
@@ -424,9 +426,25 @@ class RingPipe:
             # Wrap seam: join copies each segment exactly once.
             chunk = b"".join((self._view[i:], self._view[:end - self._size]))
             self.copies += 2
-        self._head = head + n
-        self.zero_copy_bytes += n
+        self._head = head + n + skip
+        self.zero_copy_bytes += n + skip
         return chunk
+
+    def _find_newline(self, used: int) -> int:
+        """Offset from the head of the first buffered ``\\n``, or -1.
+
+        Scans at most two segments, one per side of the wrap seam.
+        """
+        i = self._head & self._mask
+        end = i + used
+        if end <= self._size:
+            at = self._buf.find(b"\n", i, end)
+            return at - i if at >= 0 else -1
+        at = self._buf.find(b"\n", i)
+        if at >= 0:
+            return at - i
+        at = self._buf.find(b"\n", 0, end - self._size)
+        return self._size - i + at if at >= 0 else -1
 
     def _segments(self, n: int) -> list:
         """Borrowed memoryview segments over ``n`` buffered bytes.
@@ -443,6 +461,14 @@ class RingPipe:
     def _notify_edge(self) -> None:
         self.wakeups += 1
         self.cond.notify_all()
+
+    def _consumed(self, used: int) -> None:
+        """A read just consumed bytes from a ring that held ``used``:
+        wake writers only on the full → non-full edge."""
+        if used >= self.capacity:
+            self._notify_edge()
+        else:
+            self.suppressed_wakeups += 1
 
     def _fold_totals(self) -> None:
         """Roll this pipe's counters into :data:`RING_STATS` (called at
@@ -473,31 +499,66 @@ class PipedInputStream(InputStream):
         super().__init__()
         self._pipe = pipe
 
+    def _wait_readable(self) -> int:
+        """Block until data, EOF or own-side close (``cond`` held).
+
+        Returns the buffered byte count, 0 only at end of stream.
+        """
+        pipe = self._pipe
+        if pipe._tail == pipe._head and not (
+                pipe.writer_closed or pipe.reader_closed):
+            # Slow path only when there is genuinely nothing to read.
+            wait_until(
+                pipe.cond,
+                lambda: pipe._tail != pipe._head or pipe.writer_closed
+                or pipe.reader_closed)
+        if pipe.reader_closed:
+            # Our own side was closed while we were blocked — the read
+            # can never be satisfied (a closed fd, not EOF).
+            raise StreamClosedException("pipe reader closed")
+        return pipe._tail - pipe._head
+
     def read(self, size: int = -1) -> bytes:
         self._ensure_open()
         pipe = self._pipe
         with pipe.cond:
-            if pipe._tail == pipe._head and not (
-                    pipe.writer_closed or pipe.reader_closed):
-                # Slow path only when there is genuinely nothing to read.
-                wait_until(
-                    pipe.cond,
-                    lambda: pipe._tail != pipe._head or pipe.writer_closed
-                    or pipe.reader_closed)
-            if pipe.reader_closed:
-                # Our own side was closed while we were blocked — the
-                # read can never be satisfied (a closed fd, not EOF).
-                raise StreamClosedException("pipe reader closed")
-            used = pipe._tail - pipe._head
-            if not used and pipe.writer_closed:
+            used = self._wait_readable()
+            if not used:
                 return b""
             n = used if (size is None or size < 0) else min(size, used)
             chunk = pipe._take(n)
-            if used >= pipe.capacity and n:
-                pipe._notify_edge()  # full → non-full: a writer may wait
-            elif n:
-                pipe.suppressed_wakeups += 1
+            if n:
+                pipe._consumed(used)
             return chunk
+
+    def read_line(self) -> Optional[bytes]:
+        """Read one ``\\n``-terminated line in one lock session.
+
+        Same result as :meth:`InputStream.read_line`, but the ring is
+        scanned for the terminator instead of being read a byte per
+        lock acquisition.  Consumes through the terminator and no
+        further: a pipe stage's stdin may be shared with its children,
+        so the bytes after the line must stay in the pipe.  Bytes of a
+        line whose terminator has not arrived yet are consumed into the
+        result before waiting again, so a line longer than the capacity
+        still lets a blocked writer finish it.
+        """
+        self._ensure_open()
+        pipe = self._pipe
+        pieces: list[bytes] = []
+        with pipe.cond:
+            while True:
+                used = self._wait_readable()
+                if not used:
+                    return b"".join(pieces) if pieces else None
+                length = pipe._find_newline(used)
+                if length < 0:
+                    pieces.append(pipe._take(used))
+                    pipe._consumed(used)
+                    continue
+                pieces.append(pipe._take(length, skip=1))
+                pipe._consumed(used)
+                return b"".join(pieces)
 
     def drain_into(self, consumer, max_bytes: int = -1) -> int:
         """``readv``-style zero-copy drain.
@@ -515,15 +576,7 @@ class PipedInputStream(InputStream):
         self._ensure_open()
         pipe = self._pipe
         with pipe.cond:
-            if pipe._tail == pipe._head and not (
-                    pipe.writer_closed or pipe.reader_closed):
-                wait_until(
-                    pipe.cond,
-                    lambda: pipe._tail != pipe._head or pipe.writer_closed
-                    or pipe.reader_closed)
-            if pipe.reader_closed:
-                raise StreamClosedException("pipe reader closed")
-            used = pipe._tail - pipe._head
+            used = self._wait_readable()
             if not used:
                 return 0
             n = used if max_bytes is None or max_bytes < 0 \
@@ -536,10 +589,8 @@ class PipedInputStream(InputStream):
                     segment.release()
             pipe._head += n
             pipe.zero_copy_bytes += n
-            if used >= pipe.capacity and n:
-                pipe._notify_edge()
-            elif n:
-                pipe.suppressed_wakeups += 1
+            if n:
+                pipe._consumed(used)
             return n
 
     def try_read(self, size: int = -1) -> Optional[bytes]:
@@ -560,10 +611,7 @@ class PipedInputStream(InputStream):
             if not n:
                 return b""
             chunk = pipe._take(n)
-            if used >= pipe.capacity:
-                pipe._notify_edge()  # full → non-full: a writer may wait
-            else:
-                pipe.suppressed_wakeups += 1
+            pipe._consumed(used)
             return chunk
 
     def readable_hint(self) -> bool:
@@ -729,6 +777,9 @@ class _LegacyPipe:
 class _LegacyPipedInputStream(PipedInputStream):
     """Read side of a legacy pipe: double-copy reads, notify per chunk."""
 
+    # No ring to scan: lines are read a byte at a time, as before.
+    read_line = InputStream.read_line
+
     def read(self, size: int = -1) -> bytes:
         self._ensure_open()
         pipe = self._pipe
@@ -853,13 +904,15 @@ DEFAULT_BUFFER_SIZE = 8192
 
 
 class BufferedInputStream(InputStream):
-    """Bulk-reading wrapper: pipe lock traffic scales with chunks, not bytes.
+    """Bulk-reading wrapper: pipe lock traffic scales with chunks, not lines.
 
     ``read_line`` on a bare :class:`PipedInputStream` costs one pipe
-    condition-variable acquisition *per byte* (``read_byte`` → ``read``).
-    This wrapper pulls ``buffer_size`` bytes per underlying ``read`` and
-    serves ``read`` / ``read_byte`` / ``read_line`` / ``read_exactly``
-    from the in-memory chunk; ``read_line`` scans with ``bytes.find``.
+    condition-variable acquisition *per line*, and never reads past the
+    terminator.  This wrapper pulls ``buffer_size`` bytes per underlying
+    ``read`` (reading ahead, so only one consumer may own the source)
+    and serves ``read`` / ``read_byte`` / ``read_line`` /
+    ``read_exactly`` from the in-memory chunk; ``read_line`` scans with
+    ``bytes.find``.
 
     ``peek_byte`` looks at the next byte without consuming it — the
     dist protocol's wire-format sniff (JSON line vs binary frame) needs

@@ -1,7 +1,7 @@
 """Buffered stream wrappers: bulk reads, write combining, pipe races.
 
 The transport fast path's first layer — ``BufferedInputStream`` turns
-one-lock-per-byte ``read_line`` loops into one lock per chunk, and
+one-lock-per-line pipe ``read_line`` calls into one lock per chunk, and
 ``BufferedOutputStream`` combines small writes.  The race tests pin down
 the close/EPIPE semantics the connection pool depends on: a peer can
 vanish while the other side is mid-``read_line`` or mid-flush, and the

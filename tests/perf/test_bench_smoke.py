@@ -18,6 +18,9 @@ import pytest
 pytestmark = pytest.mark.perf
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+
+import _common  # noqa: E402
 
 
 def run_bench(bench_file: str, *extra_args: str) -> \
@@ -62,3 +65,11 @@ def test_transport_bench_emits_trace_jsonl(tmp_path):
     assert lines, "trace file is empty"
     for line in lines[:20]:
         json.loads(line)
+
+
+def test_smoke_entries_never_touch_tracked_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(_common, "SMOKE_DIR", tmp_path)
+    path = _common.record_bench("smoke_probe", {"smoke": True, "x": 1})
+    assert path == tmp_path / "BENCH_smoke_probe.json"
+    assert json.loads(path.read_text())["runs"][0]["x"] == 1
+    assert not (REPO_ROOT / "BENCH_smoke_probe.json").exists()
